@@ -1,11 +1,12 @@
 // Flow-churn benchmark suite (-suite netsim): the optimized transfer path
-// — incremental max-min solver, lazy event cancellation, batched admission
-// — against the reference configuration retained in the simulator (full
-// recomputation, eager heap removal, one StartFlow per transfer). Both
-// sides run the same deterministic workload of fan-in bursts and mid-run
-// cancellations, and both must drain completely; the virtual-clock outcome
-// is identical by construction (see internal/netsim's equivalence tests),
-// so the delta is pure scheduling cost.
+// — incremental max-min solver with completion events rescheduled in
+// place, batched admission — against the reference configuration retained
+// in the simulator (full recomputation that cancels and reschedules every
+// completion event, one StartFlow per transfer). Both sides run the same
+// deterministic workload of fan-in bursts and mid-run cancellations, and
+// both must drain completely; the virtual-clock outcome is identical by
+// construction (see internal/netsim's equivalence tests), so the delta is
+// pure scheduling cost.
 
 package main
 
@@ -27,8 +28,8 @@ const churnBurst = 10 // flows admitted per batch (a reducer fan-in)
 
 // runChurn drives one complete churn workload of nflows transfers over the
 // paper's 40-node/4-rack cluster and returns the simulated bytes moved.
-// The optimized side uses the incremental solver, lazy cancellation, and
-// StartFlows batches; the reference side the retained baselines.
+// The optimized side uses the incremental solver and StartFlows batches;
+// the reference side the reference solver and one StartFlow per transfer.
 func runChurn(nflows int, optimized bool) float64 {
 	cluster := topology.MustNew(topology.Config{Nodes: 40, Racks: 4, MapSlotsPerNode: 1})
 	return runChurnOn(cluster, netsim.Config{
@@ -43,7 +44,6 @@ func runChurn(nflows int, optimized bool) float64 {
 // drawn over all of the cluster's nodes.
 func runChurnOn(cluster *topology.Cluster, cfg netsim.Config, nflows int, optimized bool) float64 {
 	eng := sim.New()
-	eng.SetEagerCancel(!optimized)
 	nodes := uint64(cluster.NumNodes())
 	net, err := netsim.New(eng, cluster, cfg)
 	if err != nil {

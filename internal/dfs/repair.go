@@ -59,10 +59,13 @@ func PickRepairDestination(c *topology.Cluster, p *placement.Placement, s int,
 
 // PlanStripe builds the repair plan for stripe s of the placed file:
 // one BlockPlan per lost block (data or parity), or an unrepairable
-// verdict when more than n-k blocks are gone. For MDS codes the bound
-// is exact; for LRC it is necessary but not sufficient (some loss
-// patterns within n-k are undecodable), and such stripes surface as
-// reconstruction errors at commit time rather than here.
+// verdict when more than n-k blocks are gone or when some lost block
+// has no alive node to be rebuilt on (every alive node already holds a
+// block of the stripe, as with a (12,10) code on 12 nodes after one
+// failure). For MDS codes the n-k bound is exact; for LRC it is
+// necessary but not sufficient (some loss patterns within n-k are
+// undecodable), and such stripes surface as reconstruction errors at
+// commit time rather than here.
 //
 // Source selection mirrors the degraded-read path but stays
 // deterministic: an LRC local repair reads the lost block's surviving
@@ -70,7 +73,7 @@ func PickRepairDestination(c *topology.Cluster, p *placement.Placement, s int,
 // an LRC repair whose local group is broken reads every survivor, since
 // an arbitrary k of them need not span the lost block.
 func PlanStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
-	file string, s int) (repair.StripePlan, error) {
+	file string, s int) repair.StripePlan {
 
 	plan := repair.StripePlan{
 		Key: repair.Key{File: file, Stripe: s},
@@ -88,18 +91,17 @@ func PlanStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 	}
 	plan.Lost = len(lost)
 	if len(lost) == 0 {
-		return plan, nil
+		return plan
 	}
 	if len(lost) > plan.N-plan.K {
-		plan.Unrepairable = true
-		return plan, nil
+		return unrepairable(plan)
 	}
 	lr, isLRC := code.(erasure.LocalRepairer)
 	taken := make(map[topology.NodeID]bool, len(lost))
 	for _, idx := range lost {
 		dest, err := PickRepairDestination(c, p, s, taken)
 		if err != nil {
-			return plan, err
+			return unrepairable(plan)
 		}
 		taken[dest] = true
 		bp := repair.BlockPlan{Index: idx, Dest: dest}
@@ -121,7 +123,16 @@ func PlanStripe(c *topology.Cluster, code erasure.Coder, p *placement.Placement,
 		}
 		plan.Blocks = append(plan.Blocks, bp)
 	}
-	return plan, nil
+	return plan
+}
+
+// unrepairable returns plan marked Unrepairable with no block plans: the
+// verdict for a stripe that lost too many blocks, or whose lost blocks
+// have no alive node to be rebuilt on.
+func unrepairable(plan repair.StripePlan) repair.StripePlan {
+	plan.Blocks = nil
+	plan.Unrepairable = true
+	return plan
 }
 
 // groupAlive reports whether every block of the local repair group is on
@@ -140,9 +151,10 @@ func groupAlive(c *topology.Cluster, p *placement.Placement, s int, group []int)
 // then stripe order. Each plan covers all lost blocks of its stripe —
 // including losses from earlier failures — so re-scanning after a
 // second failure subsumes the first scan's pending work. Stripes with
-// more than n-k losses come back with Unrepairable set rather than an
-// error: the healer reports them distinctly and never launches them. A
-// nil or empty failed set scans for every lost block in the system.
+// more than n-k losses, or with a lost block no alive node can host, come
+// back with Unrepairable set rather than an error: the healer reports
+// them distinctly and never launches them. A nil or empty failed set
+// scans for every lost block in the system.
 func (fs *FS) LostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) {
 	failedSet := make(map[topology.NodeID]bool, len(failed))
 	for _, id := range failed {
@@ -165,11 +177,7 @@ func (fs *FS) LostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error) 
 			if !hit {
 				continue
 			}
-			plan, err := PlanStripe(fs.cluster, fs.code, f.Placement, name, s)
-			if err != nil {
-				return nil, err
-			}
-			if plan.Lost > 0 {
+			if plan := PlanStripe(fs.cluster, fs.code, f.Placement, name, s); plan.Lost > 0 {
 				plans = append(plans, plan)
 			}
 		}
@@ -189,7 +197,7 @@ func (fs *FS) PlanStripeRepair(key repair.Key) (repair.StripePlan, error) {
 	if key.Stripe < 0 || key.Stripe >= f.NumStripes() {
 		return repair.StripePlan{}, fmt.Errorf("dfs: file %q has no stripe %d", key.File, key.Stripe)
 	}
-	return PlanStripe(fs.cluster, fs.code, f.Placement, key.File, key.Stripe)
+	return PlanStripe(fs.cluster, fs.code, f.Placement, key.File, key.Stripe), nil
 }
 
 // RepairBlock commits the reconstruction of lost block b onto dst: for

@@ -45,8 +45,10 @@ func (b *simBackend) fileJob(file string) (int, error) {
 // RepairBlockCount < k (a locality-aware code per footnote 1) a
 // single-loss stripe repairs locally from RepairBlockCount survivors.
 // Multi-loss stripes always fall back to the full k-source path — a
-// local group with two losses cannot self-heal.
-func (b *simBackend) planStripe(job, s int) (repair.StripePlan, error) {
+// local group with two losses cannot self-heal. Like dfs.PlanStripe, a
+// stripe past n-k losses, or with a lost block no alive node can host,
+// is planned as unrepairable.
+func (b *simBackend) planStripe(job, s int) repair.StripePlan {
 	place := b.places[job]
 	plan := repair.StripePlan{
 		Key: repair.Key{File: b.jobFile(job), Stripe: s},
@@ -64,11 +66,11 @@ func (b *simBackend) planStripe(job, s int) (repair.StripePlan, error) {
 	}
 	plan.Lost = len(lost)
 	if len(lost) == 0 {
-		return plan, nil
+		return plan
 	}
 	if len(lost) > plan.N-plan.K {
 		plan.Unrepairable = true
-		return plan, nil
+		return plan
 	}
 	reads := plan.K
 	local := false
@@ -80,7 +82,9 @@ func (b *simBackend) planStripe(job, s int) (repair.StripePlan, error) {
 	for _, idx := range lost {
 		dest, err := dfs.PickRepairDestination(b.cluster, place, s, taken)
 		if err != nil {
-			return plan, err
+			plan.Blocks = nil
+			plan.Unrepairable = true
+			return plan
 		}
 		taken[dest] = true
 		plan.Blocks = append(plan.Blocks, repair.BlockPlan{
@@ -90,7 +94,7 @@ func (b *simBackend) planStripe(job, s int) (repair.StripePlan, error) {
 			Local:   local,
 		})
 	}
-	return plan, nil
+	return plan
 }
 
 // ScanLostBlocks implements runtime.RepairBackend: every stripe of every
@@ -119,11 +123,7 @@ func (b *simBackend) ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePl
 			if !hit {
 				continue
 			}
-			plan, err := b.planStripe(job, s)
-			if err != nil {
-				return nil, err
-			}
-			if plan.Lost > 0 {
+			if plan := b.planStripe(job, s); plan.Lost > 0 {
 				plans = append(plans, plan)
 			}
 		}
@@ -142,7 +142,7 @@ func (b *simBackend) PlanStripeRepair(key repair.Key) (repair.StripePlan, error)
 	if key.Stripe < 0 || key.Stripe >= b.places[job].NumStripes() {
 		return repair.StripePlan{}, fmt.Errorf("mapred: job %d has no stripe %d", job, key.Stripe)
 	}
-	return b.planStripe(job, key.Stripe)
+	return b.planStripe(job, key.Stripe), nil
 }
 
 // CommitRepair implements runtime.RepairBackend: move the block's

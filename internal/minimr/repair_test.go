@@ -92,6 +92,31 @@ func TestRepairHealsDFSMidRun(t *testing.T) {
 	}
 }
 
+// TestRepairOnFullWidthStripesIsUnrepairable: on the Section VI testbed
+// — 12 nodes, a (12,10) code — every stripe already spans every node, so
+// after a failure no alive node can host a rebuilt block. The healer must
+// report those stripes as unrepairable instead of failing the run.
+func TestRepairOnFullWidthStripesIsUnrepairable(t *testing.T) {
+	fs, corpus := testbedFS(t, 6)
+	fs.Cluster().FailNode(3)
+	opts := testOpts(sched.KindEDF)
+	opts.Repair = repair.Config{Enabled: true, RateFraction: 0.5}
+	rep, err := Run(fs, opts, []Job{WordCountJob("input.txt", 8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep.Outputs[0], wantCounts(workload.CountWords(corpus))) {
+		t.Fatal("WordCount output diverges with an idle healer")
+	}
+	st := rep.Repair
+	if st == nil || st.Unrepairable == 0 {
+		t.Fatalf("no stripe reported unrepairable: %+v", st)
+	}
+	if st.BlocksRepaired != 0 {
+		t.Fatalf("BlocksRepaired = %d with no host for any rebuilt block", st.BlocksRepaired)
+	}
+}
+
 // TestRepairDisabledReportsNothing: the zero config leaves the DFS
 // degraded and the report without repair stats.
 func TestRepairDisabledReportsNothing(t *testing.T) {

@@ -1,11 +1,13 @@
 package netsim
 
-// Equivalence harness pinning the incremental solver + lazy-cancel engine
-// + batched admission against the reference configuration (RefRecompute +
-// eager cancellation + one StartFlow per transfer). The two worlds must
-// produce bitwise-identical completion schedules, rate allocations, and
-// byte accounting for arbitrary interleavings of flow arrivals, batch
-// arrivals, and cancellations.
+// Equivalence harness pinning the incremental solver (completion events
+// moved in place by sim.Engine.Reschedule) + batched admission against the
+// reference configuration (RefRecompute, which cancels every completion
+// event and schedules a new one, + one StartFlow per transfer). The two
+// worlds must produce bitwise-identical completion schedules, rate
+// allocations, and byte accounting for arbitrary interleavings of flow
+// arrivals, batch arrivals, and cancellations — which also pins that a
+// Reschedule is indistinguishable from a Cancel followed by a Schedule.
 
 import (
 	"fmt"
@@ -109,9 +111,8 @@ func specFrom(a, b byte) flowSpec {
 // runScenario executes ops on a fresh engine+net and returns an exact
 // fingerprint of everything observable: per-flow completion times (bits),
 // post-op rate snapshots (bits), flow counts, and bytes moved.
-func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, solver Solver, eager, batched bool) (finishes []string, snaps []string, bytesMoved float64) {
+func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, solver Solver, batched bool) (finishes []string, snaps []string, bytesMoved float64) {
 	eng := sim.New()
-	eng.SetEagerCancel(eager)
 	n, err := New(eng, c, cfg)
 	if err != nil {
 		panic(err)
@@ -162,17 +163,22 @@ func runScenario(ops []scenarioOp, c *topology.Cluster, cfg Config, solver Solve
 		})
 	}
 	eng.Run()
-	// Same-instant finish order may legitimately differ between batched
-	// and sequential admission (a batch admits every flow before
-	// dispatching, so immediate completions and hold dispatches swap
-	// sequence numbers), so normalize equal-time finishes by flow ID.
-	// The times themselves must match bit-for-bit.
-	sort.SliceStable(fins, func(i, j int) bool {
-		if fins[i].at != fins[j].at {
-			return fins[i].at < fins[j].at
-		}
-		return fins[i].id < fins[j].id
-	})
+	// In exclusive-hold mode same-instant finish order may legitimately
+	// differ between batched and sequential admission (a batch admits
+	// every flow before dispatching, so immediate completions and hold
+	// dispatches swap sequence numbers), so normalize equal-time finishes
+	// by flow ID there. The times themselves must match bit-for-bit. In
+	// fluid mode every solve gives each flow a fresh sequence number in
+	// flow order under both admission styles, so the raw dispatch order —
+	// ties included — must match too.
+	if cfg.Mode == ExclusiveHold {
+		sort.SliceStable(fins, func(i, j int) bool {
+			if fins[i].at != fins[j].at {
+				return fins[i].at < fins[j].at
+			}
+			return fins[i].id < fins[j].id
+		})
+	}
 	for _, x := range fins {
 		finishes = append(finishes, fmt.Sprintf("%d@%x", x.id, math.Float64bits(x.at)))
 	}
@@ -188,8 +194,8 @@ func checkEquivalence(t *testing.T, data []byte) {
 	}
 	cluster, cfg := equivWorld(data[0])
 	ops := decodeOps(data[1:])
-	gotFin, gotSnap, gotBytes := runScenario(ops, cluster, cfg, IncrementalSolver, false, true)
-	wantFin, wantSnap, wantBytes := runScenario(ops, cluster, cfg, ReferenceSolver, true, false)
+	gotFin, gotSnap, gotBytes := runScenario(ops, cluster, cfg, IncrementalSolver, true)
+	wantFin, wantSnap, wantBytes := runScenario(ops, cluster, cfg, ReferenceSolver, false)
 	if gotBytes != wantBytes {
 		t.Fatalf("BytesMoved diverged: incremental=%v reference=%v (cfg %+v)", gotBytes, wantBytes, cfg)
 	}
@@ -241,8 +247,8 @@ func TestBatchedStartMatchesSequential(t *testing.T) {
 		{RackBps: 100 * Mbps, NodeBps: 200 * Mbps},
 		{RackBps: 100 * Mbps, Mode: ExclusiveHold},
 	} {
-		batFin, _, batBytes := runScenario(ops, equivCluster(), cfg, IncrementalSolver, false, true)
-		seqFin, _, seqBytes := runScenario(ops, equivCluster(), cfg, IncrementalSolver, false, false)
+		batFin, _, batBytes := runScenario(ops, equivCluster(), cfg, IncrementalSolver, true)
+		seqFin, _, seqBytes := runScenario(ops, equivCluster(), cfg, IncrementalSolver, false)
 		if batBytes != seqBytes || len(batFin) != len(seqFin) {
 			t.Fatalf("cfg %+v: batched run diverged in volume/count", cfg)
 		}
@@ -256,8 +262,8 @@ func TestBatchedStartMatchesSequential(t *testing.T) {
 
 // FuzzNetsimEquivalence explores arbitrary arrival/departure/cancel
 // sequences. Any divergence between the incremental and reference worlds
-// is a bug in the incremental solver, the lazy-cancel engine, or the
-// batch admission path.
+// is a bug in the incremental solver, the engine's in-place rescheduling,
+// or the batch admission path.
 func FuzzNetsimEquivalence(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 7, 9, 0, 2, 30, 4, 1, 3, 1, 0, 0})

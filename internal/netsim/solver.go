@@ -11,17 +11,20 @@
 //   - Frozen flags are solve-epoch stamps, eliminating the O(flows) reset
 //     pass.
 //
-// Completion events are deliberately cancelled and rescheduled for every
-// flow, exactly like the reference solver, rather than left in place when
-// a flow's rate (or even its bitwise completion time) is unchanged.
-// Keeping an event preserves its old sequence number, and equal completion
-// times are common (equal block sizes at equal rates), so a kept event
-// would fire *before* a same-instant rescheduled one where the reference
-// schedule fires it after — flipping the finish order inside a time tie
-// and sending every subsequent advance down a different rounding path.
-// Rescheduling everything keeps the Schedule-call sequence — and therefore
-// every (time, seq) pair — identical to the reference engine run; the
-// engine's lazy cancellation makes the cancel side O(1).
+// Every flow's completion is rescheduled on every solve, exactly like the
+// reference solver, rather than left in place when a flow's rate (or even
+// its bitwise completion time) is unchanged. Keeping an event preserves
+// its old sequence number, and equal completion times are common (equal
+// block sizes at equal rates), so a kept event would fire *before* a
+// same-instant rescheduled one where the reference schedule fires it
+// after — flipping the finish order inside a time tie and sending every
+// subsequent advance down a different rounding path. The reference
+// cancels each event and schedules a new one; here each flow keeps one
+// event and sim.Engine.Reschedule moves it in place. Reschedule draws its
+// sequence number exactly as Schedule does, and the loop makes one draw
+// per flow in the same flow order, so every (time, seq) pair — and
+// therefore the dispatch order — is identical to the reference engine
+// run, without an allocation or a heap removal per flow.
 //
 // Equivalence with RefRecompute is pinned by TestIncrementalMatchesReference
 // and FuzzNetsimEquivalence.
@@ -203,13 +206,9 @@ func (n *Net) incRecompute() {
 		}
 		work = kept
 	}
-	// Reschedule every completion (see the header comment for why events
-	// are never kept in place). Cancellation is an O(1) tombstone.
+	// Reschedule every completion in place (see the header comment for
+	// why events are never kept at their old sequence number).
 	for _, f := range n.flows {
-		if f.ev != nil {
-			n.eng.Cancel(f.ev)
-			f.ev = nil
-		}
 		var dt float64
 		switch {
 		case len(f.path) == 0:
@@ -219,11 +218,18 @@ func (n *Net) incRecompute() {
 		case math.IsInf(f.rate, 1):
 			dt = 0
 		case f.rate <= 0:
-			continue // starved; will be rescheduled by a later recompute
+			// Starved; a later recompute schedules it again.
+			n.eng.Cancel(f.ev)
+			f.ev = nil
+			continue
 		default:
 			dt = f.remaining / f.rate
 		}
-		f.ev = n.eng.Schedule(dt, f.finishFn)
+		if f.ev != nil {
+			n.eng.Reschedule(f.ev, dt)
+		} else {
+			f.ev = n.eng.Schedule(dt, f.finishFn)
+		}
 	}
 	n.emitRateChanges()
 }

@@ -63,8 +63,10 @@ type StripePlan struct {
 	// Blocks are the per-block plans, in block-index order. Empty when
 	// the stripe is unrepairable.
 	Blocks []BlockPlan
-	// Unrepairable marks a stripe with more losses than the code
-	// tolerates (> n-k): it is reported distinctly, never repaired.
+	// Unrepairable marks a stripe that cannot be healed: it has more
+	// losses than the code tolerates (> n-k), or some lost block has no
+	// alive node to be rebuilt on. It is reported distinctly, never
+	// repaired.
 	Unrepairable bool
 }
 

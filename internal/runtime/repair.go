@@ -28,7 +28,7 @@ type RepairBackend interface {
 	// ScanLostBlocks returns a repair plan for every stripe that lost a
 	// block to one of the failed nodes (all lost blocks of a touched
 	// stripe, including earlier losses; Unrepairable set for stripes
-	// past n-k losses). An empty failed set scans the whole store.
+	// that cannot be healed). An empty failed set scans the whole store.
 	ScanLostBlocks(failed []topology.NodeID) ([]repair.StripePlan, error)
 	// PlanStripeRepair re-plans one stripe from live placement state.
 	// The healer calls it at launch time so blocks committed since the
@@ -169,8 +169,9 @@ func (m *repairManager) enqueue(plan repair.StripePlan, class string, boost bool
 	m.s.emit(e)
 }
 
-// markUnrepairable reports a stripe past its code's loss tolerance —
-// once, distinctly, and never launched.
+// markUnrepairable reports a stripe the backend planned as unrepairable
+// (see repair.StripePlan.Unrepairable) — once, distinctly, and never
+// launched.
 func (m *repairManager) markUnrepairable(key repair.Key, lost int) {
 	if m.unrep[key] {
 		return

@@ -210,7 +210,8 @@ type AtRiskPoint struct {
 type RepairStats struct {
 	// StripesQueued counts distinct stripes that entered the repair
 	// queue; Unrepairable counts distinct stripes reported past their
-	// code's loss tolerance (never launched).
+	// code's loss tolerance or with a lost block no alive node can host
+	// (never launched).
 	StripesQueued int
 	Unrepairable  int
 	// BlocksRepaired counts committed block rebuilds, split into LRC

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -17,35 +16,27 @@ import (
 // Time is simulated time in seconds since the start of the run.
 type Time = float64
 
-// Event is a scheduled callback. Cancel it via Engine.Cancel.
+// Event is a scheduled callback. Cancel it via Engine.Cancel or move it
+// via Engine.Reschedule.
 type Event struct {
 	at    Time
 	seq   uint64
-	index int // heap index, -1 when not queued
+	index int // heap slot, -1 when not queued
 	fn    func()
-	dead  bool // tombstoned by a lazy Cancel, discarded on pop
 }
 
 // At returns the time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
 
 // Scheduled reports whether the event is still pending.
-func (e *Event) Scheduled() bool { return e.index >= 0 && !e.dead }
+func (e *Event) Scheduled() bool { return e.index >= 0 }
 
 // Engine is the simulation core. The zero value is not usable; call New.
 type Engine struct {
 	now    Time
 	seq    uint64
-	queue  eventHeap
+	queue  []*Event // 4-ary min-heap on (at, seq)
 	nsteps uint64
-	ndead  int  // tombstoned events still sitting in the queue
-	eager  bool // remove cancelled events from the heap immediately
-
-	// slab carves Event allocations out of fixed-size chunks: event churn
-	// (one cancel + reschedule per flow per bandwidth recomputation) would
-	// otherwise pay one heap allocation per Schedule call. Entries are
-	// never reused; a chunk is reclaimed when all its events are.
-	slab []Event
 }
 
 // New returns an engine with the clock at zero.
@@ -64,9 +55,7 @@ func (e *Engine) Steps() uint64 { return e.nsteps }
 // or NaN delay panics: it would corrupt the causal order and always
 // indicates a bug in the caller.
 func (e *Engine) Schedule(delay float64, fn func()) *Event {
-	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("sim: invalid delay %v", delay))
-	}
+	checkDelay(delay)
 	return e.ScheduleAt(e.now+delay, fn)
 }
 
@@ -78,91 +67,49 @@ func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	if len(e.slab) == 0 {
-		e.slab = make([]Event, 256)
-	}
-	ev := &e.slab[0]
-	e.slab = e.slab[1:]
-	*ev = Event{at: t, seq: e.seq, fn: fn}
+	ev := &Event{at: t, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.queue, ev)
+	e.push(ev)
 	return ev
 }
 
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-//
-// By default cancellation is lazy: the event is tombstoned in place (O(1))
-// and silently discarded when it reaches the top of the heap. Tombstones
-// are compacted in one pass whenever they outnumber live events 3:1, so
-// the queue stays within 4x its live size. SetEagerCancel(true) restores
-// the old O(log n) heap.Remove behavior; dispatch order is identical
-// either way, since tombstoned events never run.
+// Reschedule moves ev to fire after delay seconds of virtual time. It
+// draws a fresh sequence number exactly as Schedule would, so the
+// resulting (time, seq) order — and hence the dispatch order — is the
+// same as Cancel(ev) followed by Schedule(delay, fn), without releasing
+// the event or allocating a new one. An event that is no longer queued
+// (fired or cancelled) is queued again with its original callback.
+func (e *Engine) Reschedule(ev *Event, delay float64) {
+	checkDelay(delay)
+	ev.at = e.now + delay
+	ev.seq = e.seq
+	e.seq++
+	if ev.index < 0 {
+		e.push(ev)
+		return
+	}
+	if !e.down(ev.index) {
+		e.up(ev.index)
+	}
+}
+
+// Cancel removes a pending event from the queue in O(log n). Cancelling
+// an already-fired or already-cancelled event is a no-op.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.index < 0 || ev.dead {
+	if ev == nil || ev.index < 0 {
 		return
 	}
-	if e.eager {
-		heap.Remove(&e.queue, ev.index)
-		ev.index = -1
-		return
-	}
-	ev.dead = true
-	ev.fn = nil // release the closure now; the tombstone may linger
-	e.ndead++
-	if e.ndead > 3*(len(e.queue)-e.ndead) {
-		e.compact()
-	}
+	e.remove(ev.index)
 }
 
-// SetEagerCancel toggles between lazy (default) and eager cancellation.
-// Switching to eager flushes any existing tombstones.
-func (e *Engine) SetEagerCancel(eager bool) {
-	e.eager = eager
-	if eager && e.ndead > 0 {
-		e.compact()
-	}
-}
-
-// compact rebuilds the queue without its tombstoned events. heap.Init
-// re-establishes the heap property; pop order is unaffected because it is
-// fully determined by the (time, seq) comparator.
-func (e *Engine) compact() {
-	live := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.dead {
-			ev.index = -1
-			continue
-		}
-		live = append(live, ev)
-	}
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
-	for i, ev := range live {
-		ev.index = i
-	}
-	e.queue = live
-	e.ndead = 0
-	heap.Init(&e.queue)
-}
-
-// Step dispatches the next live event, advancing the clock. It returns
-// false if no live events remain. Tombstoned events are discarded without
-// advancing the clock or counting a step.
+// Step dispatches the next event, advancing the clock. It returns false
+// if no events remain.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.dead {
-			e.ndead--
-			continue
-		}
-		e.now = ev.at
-		e.nsteps++
-		ev.fn()
-		return true
+	if len(e.queue) == 0 {
+		return false
 	}
-	return false
+	e.dispatch(e.remove(0))
+	return true
 }
 
 // Run dispatches events until the queue is empty and returns the final
@@ -176,55 +123,116 @@ func (e *Engine) Run() Time {
 // RunUntil dispatches events with time <= t, then advances the clock to t.
 // Events scheduled beyond t remain queued.
 func (e *Engine) RunUntil(t Time) {
-	for e.queue.Len() > 0 && e.queue[0].at <= t {
-		ev := heap.Pop(&e.queue).(*Event)
-		if ev.dead {
-			e.ndead--
-			continue
-		}
-		e.now = ev.at
-		e.nsteps++
-		ev.fn()
+	for len(e.queue) > 0 && e.queue[0].at <= t {
+		e.dispatch(e.remove(0))
 	}
 	if t > e.now {
 		e.now = t
 	}
 }
 
-// Pending returns the number of live queued events (tombstones excluded).
-func (e *Engine) Pending() int { return e.queue.Len() - e.ndead }
+// Pending returns the number of queued events.
+func (e *Engine) Pending() int { return len(e.queue) }
 
-// eventHeap orders events by (time, seq).
-type eventHeap []*Event
+func (e *Engine) dispatch(ev *Event) {
+	e.now = ev.at
+	e.nsteps++
+	ev.fn()
+}
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	//lint:ignore floateq exact comparison is the point: equal times fall through to the monotone seq tie-break
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func checkDelay(delay float64) {
+	if delay < 0 || math.IsNaN(delay) {
+		panic(fmt.Sprintf("sim: invalid delay %v", delay))
 	}
-	return h[i].seq < h[j].seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// The queue is a 4-ary min-heap: slot i's children are 4i+1..4i+4. A wider
+// fan-out halves the tree depth of a binary heap, so a sift touches fewer
+// cache lines, at the cost of up to three extra comparisons per level on
+// the way down. Every queued event's index field is its current slot.
+
+// less orders events by (time, seq). Sequence numbers are unique, so the
+// order is total and the dispatch order does not depend on the heap shape.
+func less(a, b *Event) bool {
+	//lint:ignore floateq exact comparison is the point: equal times fall through to the monotone seq tie-break
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+func (e *Engine) push(ev *Event) {
+	ev.index = len(e.queue)
+	e.queue = append(e.queue, ev)
+	e.up(ev.index)
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+// remove takes the event in slot i out of the queue: the last event
+// fills the hole and is sifted to its place.
+func (e *Engine) remove(i int) *Event {
+	q := e.queue
+	ev := q[i]
+	last := len(q) - 1
+	if i != last {
+		q[i] = q[last]
+		q[i].index = i
+	}
+	q[last] = nil
+	e.queue = q[:last]
+	if i != last && !e.down(i) {
+		e.up(i)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// up sifts the event in slot i toward the root.
+func (e *Engine) up(i int) {
+	q := e.queue
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !less(ev, q[p]) {
+			break
+		}
+		q[i] = q[p]
+		q[i].index = i
+		i = p
+	}
+	q[i] = ev
+	ev.index = i
+}
+
+// down sifts the event in slot i toward the leaves and reports whether it
+// moved.
+func (e *Engine) down(i int) bool {
+	q := e.queue
+	n := len(q)
+	ev := q[i]
+	start := i
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if less(q[j], q[m]) {
+				m = j
+			}
+		}
+		if !less(q[m], ev) {
+			break
+		}
+		q[i] = q[m]
+		q[i].index = i
+		i = m
+	}
+	q[i] = ev
+	ev.index = i
+	return i > start
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -128,6 +130,8 @@ func TestInvalidSchedulesPanic(t *testing.T) {
 		func() { e.Schedule(math.NaN(), func() {}) },
 		func() { e.ScheduleAt(-1, func() {}) },
 		func() { e.Schedule(1, nil) },
+		func() { e.Reschedule(e.Schedule(1, func() {}), -1) },
+		func() { e.Reschedule(e.Schedule(1, func() {}), math.NaN()) },
 	}
 	for i, f := range cases {
 		func() {
@@ -190,30 +194,27 @@ func TestDispatchOrderProperty(t *testing.T) {
 	}
 }
 
-func TestLazyCancelCompaction(t *testing.T) {
+func TestCancelRemovesFromQueue(t *testing.T) {
 	e := New()
 	evs := make([]*Event, 100)
 	fired := 0
 	for i := range evs {
 		evs[i] = e.Schedule(float64(i), func() { fired++ })
 	}
-	// Cancel well past half the heap: compaction must kick in and keep the
-	// queue within 2x the live population.
+	// Cancellation is eager: the queue shrinks with every cancel.
 	for i := 0; i < 80; i++ {
 		e.Cancel(evs[i])
 	}
-	if e.Pending() != 20 {
-		t.Fatalf("pending = %d, want 20", e.Pending())
+	if e.Pending() != 20 || len(e.queue) != 20 {
+		t.Fatalf("pending = %d, queue len = %d, want 20", e.Pending(), len(e.queue))
 	}
-	if len(e.queue) > 2*20 {
-		t.Fatalf("queue not compacted: len=%d ndead=%d", len(e.queue), e.ndead)
-	}
+	checkIndexes(t, e)
 	e.Run()
 	if fired != 20 {
 		t.Fatalf("fired = %d, want 20", fired)
 	}
 	if e.Steps() != 20 {
-		t.Fatalf("steps = %d, want 20 (tombstones must not count)", e.Steps())
+		t.Fatalf("steps = %d, want 20 (cancelled events must not count)", e.Steps())
 	}
 }
 
@@ -223,7 +224,7 @@ func TestLazyCancelScheduledAndPending(t *testing.T) {
 	b := e.Schedule(2, func() {})
 	e.Cancel(a)
 	if a.Scheduled() {
-		t.Fatal("tombstoned event reports Scheduled")
+		t.Fatal("cancelled event reports Scheduled")
 	}
 	if !b.Scheduled() {
 		t.Fatal("live event must stay Scheduled")
@@ -231,7 +232,7 @@ func TestLazyCancelScheduledAndPending(t *testing.T) {
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d, want 1", e.Pending())
 	}
-	e.Cancel(a) // double cancel of a tombstone is a no-op
+	e.Cancel(a) // double cancel is a no-op
 	if e.Pending() != 1 {
 		t.Fatalf("pending after double cancel = %d, want 1", e.Pending())
 	}
@@ -243,8 +244,8 @@ func TestRunUntilSkipsTombstonesWithoutOverrunning(t *testing.T) {
 	a := e.Schedule(1, func() { got = append(got, 1) })
 	e.Schedule(5, func() { got = append(got, 5) })
 	e.Cancel(a)
-	// The queue head (t=1) is dead; RunUntil(3) must discard it without
-	// dispatching the t=5 event or advancing the clock past 3.
+	// The t=1 event is gone; RunUntil(3) must not dispatch the t=5 event
+	// or advance the clock past 3.
 	e.RunUntil(3)
 	if len(got) != 0 || e.Now() != 3 {
 		t.Fatalf("got=%v now=%v", got, e.Now())
@@ -258,55 +259,164 @@ func TestRunUntilSkipsTombstonesWithoutOverrunning(t *testing.T) {
 	}
 }
 
-func TestLazyMatchesEagerCancelProperty(t *testing.T) {
-	// Property: an interleaving of schedules and cancels dispatches the
-	// same events at the same times in the same order regardless of
-	// cancellation strategy.
-	run := func(ops []uint16, eager bool) []int {
-		e := New()
-		e.SetEagerCancel(eager)
-		var fired []int
-		var evs []*Event
-		for i, op := range ops {
-			if op%3 == 0 && len(evs) > 0 {
-				e.Cancel(evs[int(op/3)%len(evs)])
-				continue
-			}
-			i := i
-			evs = append(evs, e.Schedule(float64(op%50), func() { fired = append(fired, i) }))
-		}
-		e.Run()
-		return fired
+func TestReschedule(t *testing.T) {
+	e := New()
+	var got []string
+	a := e.Schedule(1, func() { got = append(got, "a") })
+	e.Schedule(2, func() { got = append(got, "b") })
+	c := e.Schedule(3, func() { got = append(got, "c") })
+	e.Reschedule(a, 2) // same time as b, later seq: fires after b
+	e.Reschedule(c, 0.5)
+	if a.At() != 2 || c.At() != 0.5 || e.Pending() != 3 {
+		t.Fatalf("a.At=%v c.At=%v pending=%d", a.At(), c.At(), e.Pending())
 	}
-	f := func(ops []uint16) bool {
-		lazy, eager := run(ops, false), run(ops, true)
-		if len(lazy) != len(eager) {
-			return false
-		}
-		for i := range lazy {
-			if lazy[i] != eager[i] {
-				return false
-			}
-		}
-		return true
+	e.Run()
+	if want := []string{"c", "b", "a"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatch order = %v, want %v", got, want)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	// A fired or cancelled event is queued again with its callback.
+	e.Reschedule(a, 1) // a has fired
+	e.Reschedule(c, 2)
+	e.Cancel(c)
+	e.Reschedule(c, 1) // c was cancelled
+	e.Run()
+	if want := []string{"c", "b", "a", "a", "c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("dispatch order = %v, want %v", got, want)
+	}
+	if e.Now() != 3 {
+		t.Fatalf("now = %v, want 3", e.Now())
 	}
 }
 
-func TestSetEagerCancelFlushesTombstones(t *testing.T) {
-	e := New()
-	a := e.Schedule(1, func() {})
-	e.Schedule(2, func() {})
-	e.Schedule(3, func() {})
-	e.Cancel(a)
-	e.SetEagerCancel(true)
-	if e.ndead != 0 || len(e.queue) != 2 {
-		t.Fatalf("tombstones not flushed: ndead=%d len=%d", e.ndead, len(e.queue))
+// checkIndexes verifies that every queued event's index is its heap slot
+// and that the 4-ary heap property holds.
+func checkIndexes(t *testing.T, e *Engine) bool {
+	t.Helper()
+	for i, ev := range e.queue {
+		if ev.index != i {
+			t.Errorf("event in slot %d has index %d", i, ev.index)
+			return false
+		}
+		if i > 0 && less(ev, e.queue[(i-1)/4]) {
+			t.Errorf("slot %d sorts before its parent", i)
+			return false
+		}
 	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d", e.Pending())
+	return true
+}
+
+// oracleQueue is a deliberately naive event queue: a flat list scanned for
+// the minimum (time, seq) pair, where a reschedule is a cancel followed by
+// a fresh schedule.
+type oracleQueue struct {
+	now  Time
+	seq  uint64
+	live map[int]oracleEntry // by event id
+}
+
+type oracleEntry struct {
+	at  Time
+	seq uint64
+}
+
+func (o *oracleQueue) schedule(id int, delay float64) {
+	o.live[id] = oracleEntry{o.now + delay, o.seq}
+	o.seq++
+}
+
+func (o *oracleQueue) cancel(id int) { delete(o.live, id) }
+
+func (o *oracleQueue) step() (int, bool) {
+	best, found := 0, false
+	var min oracleEntry
+	for id, x := range o.live {
+		if !found || x.at < min.at || (x.at == min.at && x.seq < min.seq) {
+			best, min, found = id, x, true
+		}
+	}
+	if found {
+		o.now = min.at
+		delete(o.live, best)
+	}
+	return best, found
+}
+
+func TestRescheduleMatchesCancelThenScheduleProperty(t *testing.T) {
+	// Property: any interleaving of Schedule, Reschedule, Cancel and Step
+	// dispatches the same (time, id) sequence as an oracle that implements
+	// a reschedule as a cancel followed by a fresh schedule, and every
+	// queued event's index equals its heap slot after every operation.
+	type fired struct {
+		at Time
+		id int
+	}
+	f := func(ops []uint16) bool {
+		e := New()
+		o := &oracleQueue{live: map[int]oracleEntry{}}
+		var got, want []fired
+		var evs []*Event
+		for _, op := range ops {
+			delay := float64(op>>3%8) * 0.5 // small range: many time ties
+			id := int(op >> 6)
+			switch op % 8 {
+			case 0, 1, 2: // schedule
+				id := len(evs)
+				evs = append(evs, e.Schedule(delay, func() { got = append(got, fired{e.Now(), id}) }))
+				o.schedule(id, delay)
+			case 3, 4: // reschedule (queued, fired or cancelled)
+				if len(evs) == 0 {
+					continue
+				}
+				id %= len(evs)
+				e.Reschedule(evs[id], delay)
+				o.cancel(id)
+				o.schedule(id, delay)
+			case 5, 6: // cancel
+				if len(evs) == 0 {
+					continue
+				}
+				id %= len(evs)
+				e.Cancel(evs[id])
+				o.cancel(id)
+			case 7: // step
+				ran := e.Step()
+				id, ok := o.step()
+				if ok {
+					want = append(want, fired{o.now, id})
+				}
+				if ran != ok {
+					return false
+				}
+			}
+			if !checkIndexes(t, e) || e.Pending() != len(o.live) {
+				return false
+			}
+		}
+		for e.Step() {
+			if !checkIndexes(t, e) {
+				return false
+			}
+		}
+		for {
+			id, ok := o.step()
+			if !ok {
+				break
+			}
+			want = append(want, fired{o.now, id})
+		}
+		return reflect.DeepEqual(got, want)
+	}
+	// Runs of up to 400 operations grow heaps several levels deep, so
+	// sifts and removals reach interior slots.
+	gen := func(args []reflect.Value, rng *rand.Rand) {
+		ops := make([]uint16, rng.Intn(400))
+		for i := range ops {
+			ops[i] = uint16(rng.Intn(1 << 16))
+		}
+		args[0] = reflect.ValueOf(ops)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Values: gen}); err != nil {
+		t.Error(err)
 	}
 }
 
