@@ -30,7 +30,7 @@ type clusterBackend struct {
 
 	// reduceOut[job][reducer] holds a finished reducer's real output
 	// between AwaitReduce and ReduceFinish.
-	reduceOut [][][]kv
+	reduceOut [][][]minimr.KeyValue
 	outputs   []map[string]string
 
 	// picked and reqs remember each degraded task's latest primary
@@ -83,7 +83,7 @@ func newClusterBackend(m *Master, h *minimr.Harness, jobs []minimr.Job) *cluster
 			panic(fmt.Sprintf("cluster: input %q vanished: %v", jobs[i].Input, err))
 		}
 		b.files = append(b.files, f)
-		b.reduceOut = append(b.reduceOut, make([][]kv, jobs[i].NumReducers))
+		b.reduceOut = append(b.reduceOut, make([][]minimr.KeyValue, jobs[i].NumReducers))
 		b.outputs = append(b.outputs, make(map[string]string))
 	}
 	return b
@@ -207,7 +207,7 @@ func (b *clusterBackend) AwaitOutput(job, task int, node topology.NodeID, output
 	if b.jobs[job].NumReducers == 0 {
 		out := b.outputs[job]
 		for _, r := range o.resp.Output {
-			out[r.K] = r.V
+			out[r.Key] = r.Value
 		}
 		return &mapDone{node: node}, nil
 	}
@@ -263,11 +263,11 @@ func (b *clusterBackend) ReduceReset(job, reducer int) {
 // the reducer's worker at its virtual completion instant and keep the
 // records for ReduceFinish.
 func (b *clusterBackend) AwaitReduce(job, reducer int, node topology.NodeID) error {
-	var resp reduceResp
-	if err := b.m.callWorker(node, "run-reduce", &reduceReq{Job: job, Reducer: reducer}, &resp); err != nil {
+	var out records
+	if err := b.m.callWorker(node, "run-reduce", &reduceReq{Job: job, Reducer: reducer}, &out); err != nil {
 		return err
 	}
-	b.reduceOut[job][reducer] = resp.Output
+	b.reduceOut[job][reducer] = out
 	return nil
 }
 
@@ -276,7 +276,7 @@ func (b *clusterBackend) AwaitReduce(job, reducer int, node topology.NodeID) err
 func (b *clusterBackend) ReduceFinish(job, reducer int) {
 	out := b.outputs[job]
 	for _, r := range b.reduceOut[job][reducer] {
-		out[r.K] = r.V
+		out[r.Key] = r.Value
 	}
 	b.reduceOut[job][reducer] = nil
 }

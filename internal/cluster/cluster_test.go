@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,6 +28,16 @@ const testBlocks = 60
 // placement, block-aligned corpus.
 func testbedFS(t *testing.T, seed int64) (*dfs.FS, []byte) {
 	t.Helper()
+	corpus, err := workload.GenerateBlockAlignedCorpus(testBlocks, minimr.TestbedBlockSize, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return testbedFSWith(t, seed, corpus), corpus
+}
+
+// testbedFSWith is testbedFS over a given corpus.
+func testbedFSWith(t *testing.T, seed int64, corpus []byte) *dfs.FS {
+	t.Helper()
 	clu := topology.MustNew(topology.Config{
 		Nodes: 12, Racks: 3, MapSlotsPerNode: 4, ReduceSlotsPerNode: 1,
 	})
@@ -34,14 +46,10 @@ func testbedFS(t *testing.T, seed int64) (*dfs.FS, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus, err := workload.GenerateBlockAlignedCorpus(testBlocks, minimr.TestbedBlockSize, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if _, err := fs.Write("input.txt", corpus); err != nil {
 		t.Fatal(err)
 	}
-	return fs, corpus
+	return fs
 }
 
 func engineOpts(sink trace.Sink) minimr.Options {
@@ -274,6 +282,72 @@ func TestLoopbackGrepAndLineCount(t *testing.T) {
 	wantLines := wantCounts(workload.CountLines(corpus))
 	if !reflect.DeepEqual(rep.Outputs[1], wantLines) {
 		t.Fatal("linecount output diverges from ground truth")
+	}
+}
+
+// TestLoopbackKeepsNonUTF8Records pins byte-exact records on the wire.
+// Every "whale" in the corpus becomes "wh\xe9le" or "wh\xffle" in turn:
+// two distinct words that are not valid UTF-8, which a JSON record would
+// both rewrite to "wh\ufffdle" and merge. WordCount and Grep across the
+// cluster must still equal the in-process engine byte for byte.
+func TestLoopbackKeepsNonUTF8Records(t *testing.T) {
+	corpus, err := workload.GenerateBlockAlignedCorpus(testBlocks, minimr.TestbedBlockSize, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, n := 0, 0; ; n++ {
+		j := bytes.Index(corpus[i:], []byte("whale"))
+		if j < 0 {
+			break
+		}
+		corpus[i+j+2] = []byte{0xe9, 0xff}[n%2]
+		i += j + 5
+	}
+	l, err := StartLocal(testbedFSWith(t, 6, corpus), MasterOptions{
+		HeartbeatEvery: 100 * time.Millisecond,
+		HeartbeatMiss:  20,
+		Engine:         engineOpts(nil),
+	}, WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	specs := []JobSpec{
+		{Kind: "wordcount", Input: "input.txt", NumReducers: 8},
+		{Kind: "grep", Input: "input.txt", Word: "ship", NumReducers: 4, SubmitAt: 1},
+	}
+	rep, err := l.Run(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, err := BuildJobs(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := minimr.Run(testbedFSWith(t, 6, corpus), engineOpts(nil), jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, word := range []string{"wh\xe9le", "wh\xffle"} {
+		if ref.Outputs[0][word] == "" {
+			t.Fatalf("in-process WordCount has no %q: the corpus lost its non-UTF-8 words", word)
+		}
+	}
+	for i, spec := range specs {
+		if !reflect.DeepEqual(rep.Outputs[i], ref.Outputs[i]) {
+			t.Errorf("%s: cluster output (%d keys) diverges from the in-process engine (%d keys)",
+				spec.Kind, len(rep.Outputs[i]), len(ref.Outputs[i]))
+		}
+	}
+	grepped := 0
+	for line := range ref.Outputs[1] {
+		if strings.Contains(line, "wh\xe9le") || strings.Contains(line, "wh\xffle") {
+			grepped++
+		}
+	}
+	if grepped == 0 {
+		t.Fatal("no grepped line carries a non-UTF-8 word")
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -44,8 +43,9 @@ type rpcConn struct {
 
 	// serve handles an incoming request frame; nil rejects all requests.
 	// It runs on a fresh goroutine per request. A nil response with nil
-	// error sends an empty ack.
-	serve func(method string, body json.RawMessage) (any, error)
+	// error sends an empty ack; any other response is encoded with
+	// encodeBody.
+	serve func(method string, body []byte) (any, error)
 	// notify receives non-RPC frames (hb, event); may be nil. It runs on
 	// the reader goroutine, so it must not block.
 	notify func(f *frame)
@@ -115,7 +115,7 @@ func (rc *rpcConn) serveReq(f *frame) {
 			resp.Dead = dp.peers
 		}
 	} else if out != nil {
-		b, merr := json.Marshal(out)
+		b, merr := encodeBody(out)
 		if merr != nil {
 			resp.Error = fmt.Sprintf("encoding %s response: %v", f.Method, merr)
 		} else {
@@ -137,12 +137,13 @@ func (rc *rpcConn) send(f *frame) error {
 	return rc.bw.Flush()
 }
 
-// call performs one RPC: req is marshaled as the request body, the
-// response body (if any) is unmarshaled into resp (may be nil). Returns
+// call performs one RPC: req is encoded as the request body, the
+// response body (if any) is decoded into resp (may be nil), each with
+// its type's codec (encodeBody, decodeBody). Returns
 // *remoteError for far-side failures, errRPCTimeout or errConnClosed
 // for transport ones.
 func (rc *rpcConn) call(method string, req, resp any, timeout time.Duration) error {
-	body, err := json.Marshal(req)
+	body, err := encodeBody(req)
 	if err != nil {
 		return fmt.Errorf("cluster: encoding %s request: %w", method, err)
 	}
@@ -177,7 +178,7 @@ func (rc *rpcConn) call(method string, req, resp any, timeout time.Duration) err
 			return &remoteError{method: method, msg: f.Error, dead: f.Dead}
 		}
 		if resp != nil && len(f.Body) > 0 {
-			if err := json.Unmarshal(f.Body, resp); err != nil {
+			if err := decodeBody(f.Body, resp); err != nil {
 				return fmt.Errorf("cluster: decoding %s response: %w", method, err)
 			}
 		}

@@ -179,7 +179,7 @@ func (m *Master) register(c net.Conn) {
 	}
 	if node < 0 {
 		m.mu.Unlock()
-		rc.send(&frame{Kind: "registered", Body: mustJSON(registeredMsg{Err: "no free node"})})
+		rc.send(&frame{Kind: "registered", Error: "no free node"})
 		c.Close()
 		return
 	}
@@ -198,7 +198,6 @@ func (m *Master) register(c net.Conn) {
 	}
 	resp := registeredMsg{
 		Node:         int(node),
-		NumNodes:     m.fs.Cluster().NumNodes(),
 		CodeN:        m.code.N(),
 		CodeK:        m.code.K(),
 		Construction: int(m.code.Construction()),
@@ -206,7 +205,7 @@ func (m *Master) register(c net.Conn) {
 		HeartbeatMS:  int(m.opts.HeartbeatEvery / time.Millisecond),
 		Blocks:       blocks,
 	}
-	if err := rc.send(&frame{Kind: "registered", Body: mustJSON(resp)}); err != nil {
+	if err := rc.send(&frame{Kind: "registered", Body: resp.appendBinary(nil)}); err != nil {
 		m.declareDead(node, "handshake write failed")
 		return
 	}

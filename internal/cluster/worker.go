@@ -58,7 +58,7 @@ type Worker struct {
 	// partitions until reducers pull them.
 	parts map[partKey][][]minimr.KeyValue
 	// rbuf accumulates the shuffle chunks this node's reducers fetched.
-	rbuf map[chunkKey][]kv
+	rbuf map[chunkKey][]minimr.KeyValue
 
 	hbStop    chan struct{}
 	hbOnce    sync.Once
@@ -105,16 +105,16 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 		c.Close()
 		return nil, fmt.Errorf("cluster: registration reply: %v (kind %q)", err, f.Kind)
 	}
+	if f.Error != "" {
+		peerLn.Close()
+		c.Close()
+		return nil, fmt.Errorf("cluster: master rejected registration: %s", f.Error)
+	}
 	var msg registeredMsg
-	if err := json.Unmarshal(f.Body, &msg); err != nil {
+	if err := msg.decodeBinary(f.Body); err != nil {
 		peerLn.Close()
 		c.Close()
 		return nil, fmt.Errorf("cluster: decoding registration: %w", err)
-	}
-	if msg.Err != "" {
-		peerLn.Close()
-		c.Close()
-		return nil, fmt.Errorf("cluster: master rejected registration: %s", msg.Err)
 	}
 	code, err := erasure.New(msg.CodeN, msg.CodeK,
 		erasure.WithConstruction(erasure.Construction(msg.Construction)))
@@ -135,7 +135,7 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 		epoch:     time.Now(),
 		store:     make(map[blockKey][]byte),
 		parts:     make(map[partKey][][]minimr.KeyValue),
-		rbuf:      make(map[chunkKey][]kv),
+		rbuf:      make(map[chunkKey][]minimr.KeyValue),
 		hbStop:    make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -212,7 +212,7 @@ func (w *Worker) emit(ev trace.Event) {
 func (w *Worker) realNow() float64 { return time.Since(w.epoch).Seconds() }
 
 // serve dispatches one master RPC.
-func (w *Worker) serve(method string, body json.RawMessage) (any, error) {
+func (w *Worker) serve(method string, body []byte) (any, error) {
 	switch method {
 	case "jobs":
 		var msg jobsMsg
@@ -228,7 +228,7 @@ func (w *Worker) serve(method string, body json.RawMessage) (any, error) {
 		// A fresh job set starts a fresh run: drop any partitions and
 		// shuffle chunks left over from a previous one.
 		w.parts = make(map[partKey][][]minimr.KeyValue)
-		w.rbuf = make(map[chunkKey][]kv)
+		w.rbuf = make(map[chunkKey][]minimr.KeyValue)
 		w.mu.Unlock()
 		return nil, nil
 	case "run-map":
@@ -288,10 +288,10 @@ func (w *Worker) runMap(req *mapReq) (*mapResp, error) {
 	numR := job.NumReducers
 	parts := make([][]minimr.KeyValue, numR)
 	bytes := make([]float64, numR)
-	var out []kv
+	var out []minimr.KeyValue
 	emit := func(k, v string) {
 		if numR == 0 {
-			out = append(out, kv{K: k, V: v})
+			out = append(out, minimr.KeyValue{Key: k, Value: v})
 			return
 		}
 		p := minimr.PartitionOf(k, numR)
@@ -441,51 +441,55 @@ func (w *Worker) fetchBlockCancel(file string, f fetchSpec, cancel <-chan struct
 	if f.Node == int(w.node) {
 		return w.readLocal(file, f.Stripe, f.Index)
 	}
-	resp, err := w.peerCallCancel(f.Addr, peerReq{Op: "block", File: file, Stripe: f.Stripe, Index: f.Index}, cancel)
+	data, err := w.peerCall(f.Addr, peerReq{Op: "block", File: file, Stripe: f.Stripe, Index: f.Index}, cancel)
 	if err != nil {
-		return nil, &deadPeersError{peers: []int{f.Node}, cause: err}
-	}
-	if resp.Err != "" {
-		return nil, fmt.Errorf("cluster: peer %d: %s", f.Node, resp.Err)
+		return nil, peerFailure(f.Node, err)
 	}
 	ev := trace.New(w.realNow(), trace.EvWireFetch)
-	ev.Node, ev.Src, ev.Bytes = int(w.node), f.Node, float64(len(resp.Data))
+	ev.Node, ev.Src, ev.Bytes = int(w.node), f.Node, float64(len(data))
 	ev.Name = file
 	w.emit(ev)
-	return resp.Data, nil
+	return data, nil
+}
+
+// partition returns one buffered map-output partition, for a peer's
+// fetch or for a reducer on this node alike.
+func (w *Worker) partition(job, task, reducer int) ([]minimr.KeyValue, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	parts := w.parts[partKey{job: job, task: task}]
+	if reducer < 0 || reducer >= len(parts) {
+		return nil, fmt.Errorf("cluster: no partition %d for job %d task %d", reducer, job, task)
+	}
+	return parts[reducer], nil
 }
 
 // fetchChunk pulls one map-output partition into this node's reduce
 // buffer (from its own partition store when the mapper ran here).
 func (w *Worker) fetchChunk(req *chunkFetchReq) error {
-	var records []kv
+	var recs records
 	if req.Node == int(w.node) {
-		w.mu.Lock()
-		parts := w.parts[partKey{job: req.Job, task: req.MapTask}]
-		if req.Reducer < len(parts) {
-			for _, r := range parts[req.Reducer] {
-				records = append(records, kv{K: r.Key, V: r.Value})
-			}
+		var err error
+		if recs, err = w.partition(req.Job, req.MapTask, req.Reducer); err != nil {
+			return err
 		}
-		w.mu.Unlock()
 	} else {
-		resp, err := w.peerCall(req.Addr, peerReq{Op: "chunk", Job: req.Job, MapTask: req.MapTask, Reducer: req.Reducer})
+		body, err := w.peerCall(req.Addr, peerReq{Op: "chunk", Job: req.Job, MapTask: req.MapTask, Reducer: req.Reducer}, nil)
 		if err != nil {
-			return &deadPeersError{peers: []int{req.Node}, cause: err}
+			return peerFailure(req.Node, err)
 		}
-		if resp.Err != "" {
-			return fmt.Errorf("cluster: peer %d: %s", req.Node, resp.Err)
+		if err := recs.decodeBinary(body); err != nil {
+			return fmt.Errorf("cluster: peer %d: %w", req.Node, err)
 		}
-		records = resp.KVs
 	}
 
 	w.mu.Lock()
-	w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: req.MapTask}] = records
+	w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: req.MapTask}] = recs
 	w.mu.Unlock()
 
 	var bytes float64
-	for _, r := range records {
-		bytes += float64(len(r.K) + len(r.V) + 2)
+	for _, r := range recs {
+		bytes += float64(len(r.Key) + len(r.Value) + 2)
 	}
 	ev := trace.New(w.realNow(), trace.EvWireShuffle)
 	ev.Job, ev.Task, ev.Node, ev.Src, ev.Bytes = req.Job, req.Reducer, int(w.node), req.Node, bytes
@@ -496,7 +500,7 @@ func (w *Worker) fetchChunk(req *chunkFetchReq) error {
 // runReduce runs the real reduce function over every partition this
 // node fetched for the reducer, in deterministic order: chunks by map
 // task index, then keys sorted.
-func (w *Worker) runReduce(req *reduceReq) (*reduceResp, error) {
+func (w *Worker) runReduce(req *reduceReq) (records, error) {
 	job, err := w.job(req.Job)
 	if err != nil {
 		return nil, err
@@ -510,15 +514,15 @@ func (w *Worker) runReduce(req *reduceReq) (*reduceResp, error) {
 		}
 	}
 	sort.Ints(tasks)
-	var records []kv
+	var recs []minimr.KeyValue
 	for _, t := range tasks {
-		records = append(records, w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: t}]...)
+		recs = append(recs, w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: t}]...)
 	}
 	w.mu.Unlock()
 
 	grouped := make(map[string][]string)
-	for _, r := range records {
-		grouped[r.K] = append(grouped[r.K], r.V)
+	for _, r := range recs {
+		grouped[r.Key] = append(grouped[r.Key], r.Value)
 	}
 	keys := make([]string, 0, len(grouped))
 	for k := range grouped {
@@ -526,17 +530,17 @@ func (w *Worker) runReduce(req *reduceReq) (*reduceResp, error) {
 	}
 	sort.Strings(keys)
 
-	var out []kv
+	var out records
 	for _, k := range keys {
 		job.Reduce(k, grouped[k], func(ok, ov string) {
-			out = append(out, kv{K: ok, V: ov})
+			out = append(out, minimr.KeyValue{Key: ok, Value: ov})
 		})
 	}
 
 	ev := trace.New(w.realNow(), trace.EvWireReduce)
 	ev.Job, ev.Task, ev.Node, ev.N = req.Job, req.Reducer, int(w.node), len(out)
 	w.emit(ev)
-	return &reduceResp{Output: out}, nil
+	return out, nil
 }
 
 // repairBlock executes one background repair on the master's command:
@@ -592,16 +596,24 @@ func (w *Worker) repairBlock(req *repairReq) (*repairResp, error) {
 // already won; it is never a peer-health signal.
 var errFetchCancelled = errors.New("cluster: fetch cancelled")
 
-// peerCall performs one one-shot request against a peer's server, with
-// retries: workers may be mid-registration when the first fetches fly.
-func (w *Worker) peerCall(addr string, req peerReq) (*peerResp, error) {
-	return w.peerCallCancel(addr, req, nil)
+// peerFailure maps a failed peer call: a failure the peer reported is
+// an application error; any other means the peer is unreachable, which
+// the master feeds into failure recovery.
+func peerFailure(node int, err error) error {
+	var re *remoteError
+	if errors.As(err, &re) {
+		return fmt.Errorf("cluster: peer %d: %s", node, re.msg)
+	}
+	return &deadPeersError{peers: []int{node}, cause: err}
 }
 
-// peerCallCancel is peerCall with cancellation: closing cancel skips
+// peerCall performs one one-shot request against a peer's server and
+// returns the response body, with retries: workers may be mid-
+// registration when the first fetches fly. A failure the peer reports
+// comes back as *remoteError and is not retried. Closing cancel skips
 // further retries and closes the in-flight connection (a nil channel
 // never cancels).
-func (w *Worker) peerCallCancel(addr string, req peerReq, cancel <-chan struct{}) (*peerResp, error) {
+func (w *Worker) peerCall(addr string, req peerReq, cancel <-chan struct{}) ([]byte, error) {
 	var lastErr error
 	delay := 25 * time.Millisecond
 	for attempt := 0; attempt < 3; attempt++ {
@@ -615,9 +627,10 @@ func (w *Worker) peerCallCancel(addr string, req peerReq, cancel <-chan struct{}
 			}
 			delay *= 2
 		}
-		resp, err := w.peerCallOnce(addr, req, cancel)
-		if err == nil {
-			return resp, nil
+		body, err := w.peerCallOnce(addr, req, cancel)
+		var re *remoteError
+		if err == nil || errors.As(err, &re) {
+			return body, err
 		}
 		select {
 		case <-cancel:
@@ -629,7 +642,7 @@ func (w *Worker) peerCallCancel(addr string, req peerReq, cancel <-chan struct{}
 	return nil, lastErr
 }
 
-func (w *Worker) peerCallOnce(addr string, req peerReq, cancel <-chan struct{}) (*peerResp, error) {
+func (w *Worker) peerCallOnce(addr string, req peerReq, cancel <-chan struct{}) ([]byte, error) {
 	if addr == "" {
 		return nil, fmt.Errorf("cluster: peer has no address")
 	}
@@ -657,11 +670,10 @@ func (w *Worker) peerCallOnce(addr string, req peerReq, cancel <-chan struct{}) 
 	if err := readFrame(c, &f); err != nil {
 		return nil, err
 	}
-	var resp peerResp
-	if err := json.Unmarshal(f.Body, &resp); err != nil {
-		return nil, err
+	if f.Error != "" {
+		return nil, &remoteError{method: "peer " + req.Op, msg: f.Error}
 	}
-	return &resp, nil
+	return f.Body, nil
 }
 
 func (w *Worker) peerAcceptLoop() {
@@ -687,28 +699,24 @@ func (w *Worker) servePeer(c net.Conn) {
 	if err := json.Unmarshal(f.Body, &req); err != nil {
 		return
 	}
-	var resp peerResp
+	resp := frame{Kind: "peer"}
 	switch req.Op {
 	case "block":
 		data, err := w.readLocal(req.File, req.Stripe, req.Index)
 		if err != nil {
-			resp.Err = err.Error()
+			resp.Error = err.Error()
 		} else {
-			resp.Data = data
+			resp.Body = data
 		}
 	case "chunk":
-		w.mu.Lock()
-		parts := w.parts[partKey{job: req.Job, task: req.MapTask}]
-		if req.Reducer < len(parts) {
-			for _, r := range parts[req.Reducer] {
-				resp.KVs = append(resp.KVs, kv{K: r.Key, V: r.Value})
-			}
+		kvs, err := w.partition(req.Job, req.MapTask, req.Reducer)
+		if err != nil {
+			resp.Error = err.Error()
 		} else {
-			resp.Err = fmt.Sprintf("no partition %d for job %d task %d", req.Reducer, req.Job, req.MapTask)
+			resp.Body = appendRecords(nil, kvs)
 		}
-		w.mu.Unlock()
 	default:
-		resp.Err = fmt.Sprintf("unknown peer op %q", req.Op)
+		resp.Error = fmt.Sprintf("unknown peer op %q", req.Op)
 	}
-	writeFrame(c, &frame{Kind: "peer", Body: mustJSON(resp)})
+	writeFrame(c, &resp)
 }
