@@ -75,8 +75,9 @@ func writeFrame(w io.Writer, f *frame) error {
 }
 
 // readFrame reads one envelope into f, replacing its contents. The
-// declared lengths are checked against maxFrame before anything is
-// allocated.
+// declared lengths are checked against maxFrame first, and the buffer
+// grows only as bytes arrive, so a peer that declares a large frame and
+// stalls pins no more memory than it has sent.
 func readFrame(r io.Reader, f *frame) error {
 	var prefix [framePrefix]byte
 	if _, err := io.ReadFull(r, prefix[:]); err != nil {
@@ -85,11 +86,12 @@ func readFrame(r io.Reader, f *frame) error {
 	hn := binary.BigEndian.Uint32(prefix[0:])
 	bn := binary.BigEndian.Uint32(prefix[4:])
 	// Summed in 64 bits: two hostile uint32 lengths can wrap around.
-	if n := uint64(hn) + uint64(bn); n > maxFrame {
+	n := uint64(hn) + uint64(bn)
+	if n > maxFrame {
 		return fmt.Errorf("cluster: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, hn+bn)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	buf, err := readGrowing(r, int(n))
+	if err != nil {
 		return err
 	}
 	*f = frame{}
@@ -100,6 +102,33 @@ func readFrame(r io.Reader, f *frame) error {
 		f.Body = buf[hn:]
 	}
 	return nil
+}
+
+// readChunk is the first buffer readGrowing allocates; it then doubles
+// the buffer each time it fills, up to the length wanted.
+const readChunk = 64 << 10
+
+// readGrowing reads exactly n bytes from r into a buffer that starts at
+// readChunk bytes and doubles as it fills, so it never holds more than
+// twice what r has delivered (plus readChunk).
+func readGrowing(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, readChunk))
+	for {
+		m, err := io.ReadFull(r, buf[len(buf):cap(buf)])
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF // as one io.ReadFull of n bytes reports it
+		}
+		if err != nil {
+			return nil, err
+		}
+		buf = buf[:len(buf)+m]
+		if len(buf) == n {
+			return buf, nil
+		}
+		grown := make([]byte, len(buf), min(n, 2*cap(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // The binary payload codec carries every bulk message body: a uvarint

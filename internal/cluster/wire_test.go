@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"reflect"
 	goruntime "runtime"
 	"strings"
@@ -171,6 +173,28 @@ func TestFrameRejectsOversize(t *testing.T) {
 	}
 }
 
+// TestFrameStallAllocatesLittle: a prefix that declares the largest
+// frame the limit allows, then stalls and hangs up, must fail without
+// the frame's declared size ever being allocated; a peer pins only what
+// it has actually sent.
+func TestFrameStallAllocatesLittle(t *testing.T) {
+	for _, sent := range []int{0, 1000, 300 << 10} {
+		var hdr [framePrefix]byte
+		binary.BigEndian.PutUint32(hdr[0:], 2)
+		binary.BigEndian.PutUint32(hdr[4:], maxFrame-2)
+		stream := append(hdr[:], make([]byte, sent)...)
+		var f frame
+		var err error
+		grew := allocated(func() { err = readFrame(bytes.NewReader(stream), &f) })
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("%d body bytes then EOF: err = %v, want an EOF", sent, err)
+		}
+		if limit := uint64(1<<20 + 4*sent); grew > limit {
+			t.Fatalf("%d body bytes then EOF: allocated %d bytes (limit %d)", sent, grew, limit)
+		}
+	}
+}
+
 func TestFrameStreamsSequentially(t *testing.T) {
 	var buf bytes.Buffer
 	for i := 0; i < 5; i++ {
@@ -200,10 +224,10 @@ func allocated(fn func()) uint64 {
 }
 
 // FuzzReadFrame feeds arbitrary bytes to readFrame and to every payload
-// decoder. Nothing may panic. readFrame may allocate the lengths its
-// prefix declares, never above maxFrame; a payload decoder has the whole
-// body in hand, so it allocates in proportion to the input whatever
-// counts and lengths the input claims. A frame that decodes re-encodes
+// decoder. Nothing may panic, and both allocate in proportion to the
+// input whatever lengths and counts it claims: readFrame grows its
+// buffer only as bytes arrive, and a payload decoder has the whole body
+// in hand. A frame that decodes re-encodes
 // to bytes that decode to the same body and re-encode identically; JSON
 // allows many spellings of one header, so the re-encoded header is
 // checked to be a fixed point rather than equal to the input's. A
@@ -218,7 +242,7 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add(fr.Body)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if grew := allocated(func() { checkFrameFixedPoint(t, data) }); grew > maxFrame+1<<20 {
+		if grew, limit := allocated(func() { checkFrameFixedPoint(t, data) }), uint64(1<<20+64*len(data)); grew > limit {
 			t.Fatalf("reading a frame from %d bytes allocated %d", len(data), grew)
 		}
 		grew := allocated(func() {

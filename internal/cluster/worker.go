@@ -59,6 +59,9 @@ type Worker struct {
 	parts map[partKey][][]minimr.KeyValue
 	// rbuf accumulates the shuffle chunks this node's reducers fetched.
 	rbuf map[chunkKey][]minimr.KeyValue
+	// mapBufs holds idle *minimr.MapBuffer values for reuse; map tasks
+	// run concurrently, so each takes its own.
+	mapBufs sync.Pool
 
 	hbStop    chan struct{}
 	hbOnce    sync.Once
@@ -136,6 +139,7 @@ func StartWorker(opts WorkerOptions) (*Worker, error) {
 		store:     make(map[blockKey][]byte),
 		parts:     make(map[partKey][][]minimr.KeyValue),
 		rbuf:      make(map[chunkKey][]minimr.KeyValue),
+		mapBufs:   sync.Pool{New: func() any { return new(minimr.MapBuffer) }},
 		hbStop:    make(chan struct{}),
 		done:      make(chan struct{}),
 	}
@@ -285,20 +289,16 @@ func (w *Worker) runMap(req *mapReq) (*mapResp, error) {
 		time.Sleep(w.drag)
 	}
 
-	numR := job.NumReducers
-	parts := make([][]minimr.KeyValue, numR)
-	bytes := make([]float64, numR)
+	var parts [][]minimr.KeyValue
+	var bytes []float64
 	var out []minimr.KeyValue
-	emit := func(k, v string) {
-		if numR == 0 {
-			out = append(out, minimr.KeyValue{Key: k, Value: v})
-			return
-		}
-		p := minimr.PartitionOf(k, numR)
-		parts[p] = append(parts[p], minimr.KeyValue{Key: k, Value: v})
-		bytes[p] += float64(len(k) + len(v) + 2)
+	if job.NumReducers == 0 {
+		job.Map(data, func(k, v string) { out = append(out, minimr.KeyValue{Key: k, Value: v}) })
+	} else {
+		buf := w.mapBufs.Get().(*minimr.MapBuffer)
+		parts, bytes = buf.Map(job.Map, data, job.NumReducers)
+		w.mapBufs.Put(buf)
 	}
-	job.Map(data, emit)
 
 	w.mu.Lock()
 	w.parts[partKey{job: req.Job, task: req.Task}] = parts
@@ -498,8 +498,8 @@ func (w *Worker) fetchChunk(req *chunkFetchReq) error {
 }
 
 // runReduce runs the real reduce function over every partition this
-// node fetched for the reducer, in deterministic order: chunks by map
-// task index, then keys sorted.
+// node fetched for the reducer, in deterministic order: keys sorted,
+// each key's values by map task index, then in emit order.
 func (w *Worker) runReduce(req *reduceReq) (records, error) {
 	job, err := w.job(req.Job)
 	if err != nil {
@@ -514,28 +514,16 @@ func (w *Worker) runReduce(req *reduceReq) (records, error) {
 		}
 	}
 	sort.Ints(tasks)
-	var recs []minimr.KeyValue
-	for _, t := range tasks {
-		recs = append(recs, w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: t}]...)
+	runs := make([][]minimr.KeyValue, len(tasks))
+	for i, t := range tasks {
+		runs[i] = w.rbuf[chunkKey{job: req.Job, reducer: req.Reducer, mapTask: t}]
 	}
 	w.mu.Unlock()
 
-	grouped := make(map[string][]string)
-	for _, r := range recs {
-		grouped[r.Key] = append(grouped[r.Key], r.Value)
-	}
-	keys := make([]string, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	var out records
-	for _, k := range keys {
-		job.Reduce(k, grouped[k], func(ok, ov string) {
-			out = append(out, minimr.KeyValue{Key: ok, Value: ov})
-		})
-	}
+	minimr.GroupReduce(runs, job.Reduce, func(k, v string) {
+		out = append(out, minimr.KeyValue{Key: k, Value: v})
+	})
 
 	ev := trace.New(w.realNow(), trace.EvWireReduce)
 	ev.Job, ev.Task, ev.Node, ev.N = req.Job, req.Reducer, int(w.node), len(out)

@@ -3,8 +3,6 @@ package minimr
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"sort"
 
 	"degradedfirst/internal/dfs"
 	"degradedfirst/internal/erasure"
@@ -44,7 +42,7 @@ func RunContext(ctx context.Context, fs *dfs.FS, opts Options, jobs []Job) (*Rep
 		holders: h.Holders,
 	}
 	for i := range jobs {
-		backend.bufs = append(backend.bufs, make([][]KeyValue, jobs[i].NumReducers))
+		backend.runs = append(backend.runs, make([][][]KeyValue, jobs[i].NumReducers))
 		backend.outputs = append(backend.outputs, make(map[string]string))
 	}
 
@@ -94,10 +92,11 @@ type realBackend struct {
 	rng     *stats.RNG
 	blocks  [][]erasure.BlockID
 	holders [][]topology.NodeID
-	// bufs[job][reducer] accumulates the real intermediate records
-	// delivered by the shuffle.
-	bufs    [][][]KeyValue
+	// runs[job][reducer] holds the runs the shuffle delivered to the
+	// reducer, in delivery order.
+	runs    [][][][]KeyValue
 	outputs []map[string]string
+	mapBuf  MapBuffer
 	// picked remembers each degraded task's latest primary sources so
 	// SpareSources can exclude them. Keyed by (job, task).
 	picked map[[2]int][]dfs.Source
@@ -177,41 +176,40 @@ func (b *realBackend) SpareSources(job, task int, node topology.NodeID, max int)
 func (b *realBackend) Execute(job, task int, node topology.NodeID, input any) (float64, any) {
 	js := b.jobs[job]
 	data := input.([]byte)
-	numR := js.NumReducers
-	parts := make([]partition, numR)
-	emit := func(k, v string) {
-		kv := KeyValue{Key: k, Value: v}
-		bytes := float64(len(k) + len(v) + 2)
-		if numR == 0 {
-			// Map-only job: map output is the job output.
-			b.outputs[job][k] = v
-			return
-		}
-		p := PartitionOf(k, numR)
-		parts[p].kvs = append(parts[p].kvs, kv)
-		parts[p].bytes += bytes
-	}
-	js.Map(data, emit)
 	dur := js.MapCost.Seconds(float64(len(data))) * b.speed(node)
-	return dur, parts
+	if js.NumReducers == 0 {
+		// Map-only job: map output is the job output.
+		out := b.outputs[job]
+		js.Map(data, func(k, v string) { out[k] = v })
+		return dur, mapOutput{}
+	}
+	runs, bytes := b.mapBuf.Map(js.Map, data, js.NumReducers)
+	return dur, mapOutput{runs: runs, bytes: bytes}
+}
+
+// mapOutput is one map task's output: its per-reducer runs and their
+// shuffle volumes.
+type mapOutput struct {
+	runs  [][]KeyValue
+	bytes []float64
 }
 
 // Partitions implements runtime.Backend: hand each partition's real bytes
 // and records to the shuffle.
 func (b *realBackend) Partitions(job, task int, output any) []runtime.Chunk {
-	parts := output.([]partition)
-	chunks := make([]runtime.Chunk, len(parts))
-	for i, p := range parts {
-		chunks[i] = runtime.Chunk{Bytes: p.bytes, Data: p.kvs}
+	out := output.(mapOutput)
+	chunks := make([]runtime.Chunk, len(out.runs))
+	for i, run := range out.runs {
+		chunks[i] = runtime.Chunk{Bytes: out.bytes[i], Data: run}
 	}
 	return chunks
 }
 
-// Deliver implements runtime.Backend: buffer the received records for the
-// reduce phase.
+// Deliver implements runtime.Backend: keep the received run for the
+// reduce phase, after the runs delivered before it.
 func (b *realBackend) Deliver(job, reducer int, node topology.NodeID, c runtime.Chunk) error {
-	if kvs, ok := c.Data.([]KeyValue); ok {
-		b.bufs[job][reducer] = append(b.bufs[job][reducer], kvs...)
+	if run, ok := c.Data.([]KeyValue); ok && len(run) > 0 {
+		b.runs[job][reducer] = append(b.runs[job][reducer], run)
 	}
 	return nil
 }
@@ -222,34 +220,19 @@ func (b *realBackend) ReduceDuration(job, reducer int, node topology.NodeID, rec
 	return b.jobs[job].ReduceCost.Seconds(receivedBytes) * b.speed(node)
 }
 
-// ReduceReset implements runtime.Backend: drop the records buffered on
+// ReduceReset implements runtime.Backend: drop the runs delivered to
 // the failed node; the restarted reducer re-fetches everything.
 func (b *realBackend) ReduceReset(job, reducer int) {
-	b.bufs[job][reducer] = nil
+	b.runs[job][reducer] = nil
 }
 
 // ReduceFinish implements runtime.Backend: run the real reduce function
-// over the received records and merge its output into the job output.
+// over the received runs, in delivery order, and merge its output into
+// the job output.
 func (b *realBackend) ReduceFinish(job, reducer int) {
-	js := b.jobs[job]
-	grouped := make(map[string][]string)
-	for _, kv := range b.bufs[job][reducer] {
-		grouped[kv.Key] = append(grouped[kv.Key], kv.Value)
-	}
-	keys := make([]string, 0, len(grouped))
-	for k := range grouped {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	out := b.outputs[job]
-	for _, k := range keys {
-		js.Reduce(k, grouped[k], func(ok, ov string) { out[ok] = ov })
-	}
-}
-
-type partition struct {
-	kvs   []KeyValue
-	bytes float64
+	GroupReduce(b.runs[job][reducer], b.jobs[job].Reduce, func(k, v string) { out[k] = v })
+	b.runs[job][reducer] = nil
 }
 
 // PartitionOf maps an intermediate key to its reducer index. It is
@@ -257,8 +240,12 @@ type partition struct {
 // output exactly as the in-process engine does, or the two produce
 // different shuffles for the same job.
 func PartitionOf(key string, numR int) int {
-	h := fnv.New32a()
-	//lint:ignore errsink hash.Hash.Write is documented to never return an error
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(numR))
+	// 32-bit FNV-1a, inlined: hash/fnv would allocate a hasher and a
+	// copy of the key for every record.
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(numR))
 }

@@ -3,6 +3,8 @@ package minimr
 import (
 	"bytes"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"degradedfirst/internal/netsim"
 )
@@ -42,17 +44,57 @@ var (
 	_sumReduceCost = calibrated(0.04)
 )
 
-// splitLines yields the non-empty lines of a block, trimming the newline
-// padding that block-aligned corpora carry.
-func splitLines(block []byte) [][]byte {
-	var lines [][]byte
-	for _, line := range bytes.Split(block, []byte{'\n'}) {
-		line = bytes.Trim(line, "\x00 ")
-		if len(line) > 0 {
-			lines = append(lines, line)
+// eachField calls fn with every whitespace-separated field of s, as
+// bytes.Fields splits it: runs of non-space runes between Unicode white
+// space, with invalid UTF-8 bytes counting as non-space.
+func eachField(s string, fn func(field string)) {
+	start := -1
+	for i := 0; i < len(s); {
+		var space bool
+		w := 1
+		if c := s[i]; c < utf8.RuneSelf {
+			space = _asciiSpace[c]
+		} else {
+			var r rune
+			r, w = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
 		}
+		switch {
+		case space && start >= 0:
+			fn(s[start:i])
+			start = -1
+		case !space && start < 0:
+			start = i
+		}
+		i += w
 	}
-	return lines
+	if start >= 0 {
+		fn(s[start:])
+	}
+}
+
+var _asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// eachLine calls fn with the bounds of every non-empty line of a block,
+// trimming the NUL and space padding that block-aligned corpora carry.
+func eachLine(block []byte, fn func(lo, hi int)) {
+	for lo := 0; lo < len(block); {
+		end := len(block)
+		if i := bytes.IndexByte(block[lo:], '\n'); i >= 0 {
+			end = lo + i
+		}
+		next := end + 1
+		for lo < end && (block[lo] == 0 || block[lo] == ' ') {
+			lo++
+		}
+		for end > lo && (block[end-1] == 0 || block[end-1] == ' ') {
+			end--
+		}
+		if end > lo {
+			fn(lo, end)
+		}
+		lo = next
+	}
 }
 
 // sumReducer adds up numeric values for a key ("1" counts in all three
@@ -76,9 +118,8 @@ func WordCountJob(input string, reducers int) Job {
 		Name:  "WordCount",
 		Input: input,
 		Map: func(block []byte, emit func(k, v string)) {
-			for _, w := range bytes.Fields(bytes.Trim(block, "\x00")) {
-				emit(string(w), "1")
-			}
+			// One string per block; every word is a substring of it.
+			eachField(string(bytes.Trim(block, "\x00")), func(w string) { emit(w, "1") })
 		},
 		Reduce:      sumReducer,
 		NumReducers: reducers,
@@ -95,11 +136,11 @@ func GrepJob(input, word string, reducers int) Job {
 		Name:  "Grep",
 		Input: input,
 		Map: func(block []byte, emit func(k, v string)) {
-			for _, line := range splitLines(block) {
-				if bytes.Contains(line, needle) {
+			eachLine(block, func(lo, hi int) {
+				if line := block[lo:hi]; bytes.Contains(line, needle) {
 					emit(string(line), "1")
 				}
-			}
+			})
 		},
 		Reduce:      sumReducer,
 		NumReducers: reducers,
@@ -115,9 +156,9 @@ func LineCountJob(input string, reducers int) Job {
 		Name:  "LineCount",
 		Input: input,
 		Map: func(block []byte, emit func(k, v string)) {
-			for _, line := range splitLines(block) {
-				emit(string(line), "1")
-			}
+			// One string per block; every line is a substring of it.
+			text := string(block)
+			eachLine(block, func(lo, hi int) { emit(text[lo:hi], "1") })
 		},
 		Reduce:      sumReducer,
 		NumReducers: reducers,

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"degradedfirst/internal/stats"
 )
@@ -49,6 +50,7 @@ func GenerateCorpus(opts CorpusOptions) ([]byte, error) {
 		opts.WordsPerLine = 10
 	}
 	rng := stats.NewRNG(opts.Seed)
+	vocab := newZipf(len(_vocabulary))
 	var buf bytes.Buffer
 	buf.Grow(opts.Bytes + 64)
 	for buf.Len() < opts.Bytes {
@@ -57,34 +59,37 @@ func GenerateCorpus(opts CorpusOptions) ([]byte, error) {
 			if w > 0 {
 				buf.WriteByte(' ')
 			}
-			buf.WriteString(_vocabulary[zipfIndex(rng, len(_vocabulary))])
+			buf.WriteString(_vocabulary[vocab.draw(rng)])
 		}
 		buf.WriteByte('\n')
 	}
 	return buf.Bytes()[:opts.Bytes], nil
 }
 
-// zipfIndex draws an index in [0, n) with probability proportional to
-// 1/(i+1) — a simple Zipf(1) law via inverse-CDF on the harmonic sum.
-func zipfIndex(rng *stats.RNG, n int) int {
-	h := harmonic(n)
-	target := rng.Float64() * h
-	var acc float64
-	for i := 0; i < n; i++ {
-		acc += 1 / float64(i+1)
-		if acc >= target {
-			return i
-		}
-	}
-	return n - 1
+// zipf draws indexes in [0, n) with probability proportional to
+// 1/(i+1), a Zipf(1) law, by inverting the CDF of the harmonic sum.
+// cum[i] is 1/1 + 1/2 + ... + 1/(i+1), added left to right, so cum[n-1]
+// equals harmonic(n) bit for bit and a draw returns the first index a
+// linear scan of the partial sums would.
+type zipf struct {
+	cum []float64
 }
 
-func harmonic(n int) float64 {
-	var h float64
-	for i := 1; i <= n; i++ {
-		h += 1 / float64(i)
+func newZipf(n int) zipf {
+	cum := make([]float64, n)
+	var acc float64
+	for i := range cum {
+		acc += 1 / float64(i+1)
+		cum[i] = acc
 	}
-	return h
+	return zipf{cum: cum}
+}
+
+// draw returns the first index whose partial sum reaches a uniform
+// target in [0, harmonic(n)]; the last partial sum always does.
+func (z zipf) draw(rng *stats.RNG) int {
+	i, _ := slices.BinarySearch(z.cum, rng.Float64()*z.cum[len(z.cum)-1])
+	return i
 }
 
 // GenerateBlockAlignedCorpus produces exactly numBlocks * blockSize bytes
@@ -101,6 +106,7 @@ func GenerateBlockAlignedCorpus(numBlocks, blockSize int, seed int64) ([]byte, e
 		return nil, fmt.Errorf("workload: blockSize %d too small for text lines", blockSize)
 	}
 	rng := stats.NewRNG(seed)
+	vocab := newZipf(len(_vocabulary))
 	out := make([]byte, 0, numBlocks*blockSize)
 	var line bytes.Buffer
 	for b := 0; b < numBlocks; b++ {
@@ -112,7 +118,7 @@ func GenerateBlockAlignedCorpus(numBlocks, blockSize int, seed int64) ([]byte, e
 				if w > 0 {
 					line.WriteByte(' ')
 				}
-				line.WriteString(_vocabulary[zipfIndex(rng, len(_vocabulary))])
+				line.WriteString(_vocabulary[vocab.draw(rng)])
 			}
 			line.WriteByte('\n')
 			if used+line.Len() > blockSize {
